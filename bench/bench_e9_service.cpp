@@ -47,8 +47,8 @@
 //     zero-copy demux floor (lines_per_sec).
 //
 // All rows are single-threaded; capture BENCH_e9.json as interleaved
-// median-of-3 runs (1-core bench box), `./bench_e9_service > BENCH_e9.json`
-// style with the runs merged by median as for BENCH_e8.json.
+// median-of-3 runs stamped with the host that produced them:
+// `python3 bench/capture.py build/bench_e9_service > BENCH_e9.json`.
 //
 //===----------------------------------------------------------------------===//
 

@@ -80,8 +80,8 @@ shapeSlinResult(ChainResult R, const InitRelation &Rel, bool HadAborts,
 
 /// Session-level tuning knobs.
 struct SessionOptions {
-  /// Capacity (entries, rounded up to a power of two) of the shared
-  /// transposition table.
+  /// Maximum capacity (entries, rounded up to a power of two) of the shared
+  /// transposition table, which starts unallocated and grows by doubling.
   std::size_t TranspositionCapacity = 1u << 20;
   /// Drive the search through the ADT's mutate/undo protocol when the
   /// state supports it (one state threaded down the DFS path) instead of

@@ -213,7 +213,10 @@ void LiveWindow::pushResponse(
                   AvailStore.begin() + static_cast<std::ptrdiff_t>(Q * Stride));
       Base = 0;
     } else {
-      std::size_t NewCap = std::max<std::size_t>(128, Slots.size() * 2);
+      // Start small: a short-lived object (a consensus slot) never holds
+      // more than a handful of live obligations, and doubling reaches any
+      // deeper window in O(log) steps.
+      std::size_t NewCap = std::max<std::size_t>(8, Slots.size() * 2);
       Slots.resize(NewCap);
       Invokes.resize(NewCap);
       Clients.resize(NewCap);

@@ -169,7 +169,8 @@ inline constexpr std::size_t IncrementalWindowLimit = 64;
 
 /// Tuning knobs for the incremental sessions.
 struct IncrementalOptions {
-  /// Capacity of the session's transposition table.
+  /// Maximum capacity of the session's transposition table, which starts
+  /// unallocated and grows by doubling.
   std::size_t TranspositionCapacity = 1u << 20;
   /// Drive the search through the mutate/undo protocol when available.
   bool UseUndoStates = true;
@@ -261,7 +262,9 @@ public:
   /// retirement gates), plus an availability row snapshotting \p Invoked
   /// (zero-extended to the stride). Grows or compacts storage only when
   /// the high end is reached — steady-state appends after retirement reuse
-  /// the vacated front, allocation-free.
+  /// the vacated front, allocation-free. Storage starts at 8 rows and
+  /// doubles only when every row is live, so it follows the window's
+  /// high-water mark (and keeps it after an overflow excursion ends).
   void pushResponse(std::size_t Tag, InputId In, const Output &Out,
                     std::size_t InvokeIdx, std::uint64_t MustFollow,
                     ClientId Client, std::uint32_t Meta,

@@ -38,10 +38,14 @@ struct TranspositionStats {
   std::uint64_t Evictions = 0;  ///< Stores that overwrote another key.
 };
 
-/// A bounded set of 64-bit keys with replacement. Starts small and doubles
-/// (rehashing the stored keys) as it fills, so short checks never pay for a
-/// large table while long searches grow up to MaxCapacity before the
-/// replacement policy kicks in.
+/// A bounded set of 64-bit keys with replacement. Holds no storage until
+/// the first insert(): before it, contains() is a counted miss and
+/// prefetch() a no-op, so a session whose every verdict is served without
+/// a failed subtree (a short-lived service shard, a fast-path-only stream)
+/// never allocates a slot. The first insert allocates
+/// min(256, MaxCapacity) slots; the table then doubles (rehashing the
+/// stored keys) whenever it is half full, up to MaxCapacity, and only
+/// there does the replacement policy kick in.
 class TranspositionTable {
 public:
   /// \p MaxCapacity is rounded up to a power of two; growth stops there.
@@ -56,7 +60,8 @@ public:
   /// resident by the time contains() runs.
   void prefetch(std::uint64_t Key) const {
 #if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(Slots.data() + homeSlot(Key));
+    if (!Slots.empty())
+      __builtin_prefetch(Slots.data() + homeSlot(Key));
 #else
     (void)Key;
 #endif
@@ -69,12 +74,14 @@ public:
   /// Forgets every key (O(capacity); prefer per-run salting).
   void clear();
 
-  /// Forgets every key and shrinks back to the initial capacity, exactly
-  /// as freshly constructed — the cheap way for a reused session to offer
+  /// Forgets every key and releases the slot array, exactly as freshly
+  /// constructed — the cheap way for a reused session to offer
   /// fresh-session semantics (a clear() of a fully grown table memsets
-  /// MaxCapacity slots; this reallocates a 4 Ki one).
+  /// MaxCapacity slots; this frees them, and the next insert() allocates
+  /// the initial capacity again).
   void shrinkToInitial();
 
+  /// Slots currently allocated: 0 until the first insert().
   std::size_t capacity() const { return Slots.size(); }
   std::size_t liveKeys() const { return Live; }
   /// Bytes currently reserved by the slot array — the table's whole
@@ -87,7 +94,7 @@ public:
 
 private:
   static constexpr std::size_t ProbeWindow = 8;
-  static constexpr std::size_t InitialCapacity = 1u << 12;
+  static constexpr std::size_t InitialCapacity = 1u << 8;
   static constexpr std::uint64_t EmptyKey = 0;
 
   std::size_t homeSlot(std::uint64_t Key) const {
@@ -102,7 +109,7 @@ private:
   bool tryPlace(std::uint64_t Key);
 
   std::vector<std::uint64_t> Slots;
-  std::size_t Mask;
+  std::size_t Mask = 0;
   std::size_t MaxCapacity;
   std::size_t Live = 0;
   TranspositionStats Stats;

@@ -80,7 +80,9 @@ struct ServiceConfig {
   /// applyToShard) — so batching never changes which verdicts are
   /// computed, only when they become visible in the composition.
   std::size_t BatchWindow = 1;
-  /// Transposition capacity per shard (vs 2^20 for a lone session).
+  /// Maximum transposition capacity per shard (vs 2^20 for a lone
+  /// session). The table allocates nothing until a search first proves a
+  /// subtree fails, then grows to this by doubling.
   std::size_t TranspositionCapacity = 1u << 12;
   /// Cap on distinct objects; an event for a fresh object past the cap is
   /// rejected (counted, never silently dropped).

@@ -32,8 +32,17 @@ namespace slin {
 /// reset() rewinds to empty while keeping the blocks for reuse. Only
 /// trivially-destructible payloads may be placed in the arena — reset() runs
 /// no destructors.
+///
+/// Blocks are sized by demand: the first is FirstBlockBytes (capped at
+/// BlockBytes), each later one doubles its predecessor up to BlockBytes, and
+/// an allocation larger than that gets a dedicated block of its own size. A
+/// search that needs a few hundred bytes of scratch therefore reserves 4 KiB,
+/// not BlockBytes. Blocks are handed out uninitialized; allocZeroed() zeroes
+/// what it returns.
 class Arena {
 public:
+  static constexpr std::size_t FirstBlockBytes = 1u << 12;
+
   explicit Arena(std::size_t BlockBytes = 1u << 16) : BlockBytes(BlockBytes) {}
 
   /// Allocates \p Bytes with the given power-of-two alignment.
@@ -97,8 +106,11 @@ private:
     while (Next < Blocks.size() && Capacities[Next] < AtLeast)
       ++Next;
     if (Next == Blocks.size()) {
-      std::size_t Cap = std::max(BlockBytes, AtLeast);
-      Blocks.push_back(std::make_unique<std::byte[]>(Cap));
+      std::size_t Step = Capacities.empty()
+                             ? std::min(FirstBlockBytes, BlockBytes)
+                             : std::min(2 * Capacities.back(), BlockBytes);
+      std::size_t Cap = std::max(Step, AtLeast);
+      Blocks.push_back(std::make_unique_for_overwrite<std::byte[]>(Cap));
       Capacities.push_back(Cap);
       Reserved += Cap;
     }

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // Direct unit tests for the engine's building blocks, which until now were
-// covered only through whole-checker runs: the Arena's rewind/overflow
-// block reuse (the guarantee that a corpus run performs a bounded number of
-// real heap allocations) and the TranspositionTable's lazy growth and
-// always-replace-at-capacity semantics (the guarantee that memo pressure
-// costs re-exploration, never a wrong verdict), plus the CorpusDriver's
-// scheduling-independent results.
+// covered only through whole-checker runs: the Arena's demand-sized blocks
+// and their rewind/overflow reuse (the guarantee that a corpus run performs
+// a bounded number of real heap allocations), the TranspositionTable's
+// allocate-on-first-insert, lazy growth and always-replace-at-capacity
+// semantics (the guarantee that memo pressure costs re-exploration, never a
+// wrong verdict), the LiveWindow's high-water-sized storage, plus the
+// CorpusDriver's scheduling-independent results.
 //
 //===----------------------------------------------------------------------===//
 
@@ -90,9 +91,89 @@ TEST(ArenaTest, ZeroedArraysAreZeroAfterDirtyReuse) {
     EXPECT_EQ(Y[I], 0);
 }
 
+TEST(ArenaTest, BlocksGrowGeometricallyUpToBlockBytes) {
+  // Block sizes follow demand: a 4 KiB first block, each later block twice
+  // its predecessor, capped at BlockBytes. Filling the arena in 1 KiB
+  // pieces exposes every block's size as a step in reservedBytes().
+  Arena A(/*BlockBytes=*/1u << 16);
+  EXPECT_EQ(A.reservedBytes(), 0u);
+  std::vector<std::size_t> Sizes;
+  std::vector<void *> Pieces;
+  while (Sizes.size() != 7) {
+    std::size_t Before = A.reservedBytes();
+    Pieces.push_back(A.allocate(1024));
+    if (A.reservedBytes() != Before)
+      Sizes.push_back(A.reservedBytes() - Before);
+  }
+  const std::vector<std::size_t> Expected = {1u << 12, 1u << 13, 1u << 14,
+                                             1u << 15, 1u << 16, 1u << 16,
+                                             1u << 16};
+  EXPECT_EQ(Sizes, Expected);
+  EXPECT_EQ(A.blockCount(), Expected.size());
+
+  // Rewind reuses every block: the same shapes land at the same addresses
+  // with no new reservation.
+  const std::size_t Reserved = A.reservedBytes();
+  A.reset();
+  for (void *P : Pieces)
+    EXPECT_EQ(A.allocate(1024), P);
+  EXPECT_EQ(A.reservedBytes(), Reserved);
+  EXPECT_EQ(A.blockCount(), Expected.size());
+
+  // An allocation past BlockBytes gets a dedicated block of its own size.
+  A.allocate(100000);
+  EXPECT_GE(A.reservedBytes() - Reserved, 100000u);
+}
+
+TEST(ArenaTest, FirstBlockNeverExceedsBlockBytes) {
+  Arena A(/*BlockBytes=*/64);
+  A.allocate(16);
+  EXPECT_EQ(A.reservedBytes(), 64u);
+}
+
 //===----------------------------------------------------------------------===//
 // TranspositionTable: lazy growth and always-replace at capacity.
 //===----------------------------------------------------------------------===//
+
+TEST(TranspositionTest, UnallocatedUntilTheFirstInsert) {
+  TranspositionTable T(/*MaxCapacity=*/1u << 12);
+  EXPECT_EQ(T.capacity(), 0u);
+  EXPECT_EQ(T.memoryBytes(), 0u);
+  // Every operation but insert is safe on the empty table and allocates
+  // nothing; contains() still counts its miss.
+  EXPECT_FALSE(T.contains(42));
+  EXPECT_FALSE(T.contains(0));
+  EXPECT_EQ(T.stats().Misses, 2u);
+  EXPECT_EQ(T.stats().Hits, 0u);
+  T.prefetch(42);
+  T.clear();
+  T.shrinkToInitial();
+  EXPECT_EQ(T.capacity(), 0u);
+  EXPECT_EQ(T.memoryBytes(), 0u);
+
+  // The first insert allocates the initial capacity.
+  T.insert(42);
+  EXPECT_EQ(T.capacity(), 256u);
+  EXPECT_EQ(T.memoryBytes(), 256u * sizeof(std::uint64_t));
+  EXPECT_TRUE(T.contains(42));
+  T.prefetch(42);
+
+  // shrinkToInitial returns to the unallocated state.
+  T.shrinkToInitial();
+  EXPECT_EQ(T.capacity(), 0u);
+  EXPECT_EQ(T.memoryBytes(), 0u);
+  EXPECT_EQ(T.liveKeys(), 0u);
+  EXPECT_FALSE(T.contains(42));
+  T.insert(7);
+  EXPECT_EQ(T.capacity(), 256u);
+  EXPECT_TRUE(T.contains(7));
+}
+
+TEST(TranspositionTest, InitialAllocationRespectsASmallMax) {
+  TranspositionTable T(/*MaxCapacity=*/64);
+  T.insert(1);
+  EXPECT_EQ(T.capacity(), 64u);
+}
 
 TEST(TranspositionTest, InsertThenContains) {
   TranspositionTable T(1u << 12);
@@ -113,6 +194,7 @@ TEST(TranspositionTest, ZeroKeyIsStorable) {
 
 TEST(TranspositionTest, GrowsUpToMaxCapacityUnderLoad) {
   TranspositionTable T(/*MaxCapacity=*/1u << 14);
+  T.insert(1);
   std::size_t Initial = T.capacity();
   Rng R(0x7AB1E);
   for (int I = 0; I != 1 << 13; ++I)
@@ -147,6 +229,88 @@ TEST(TranspositionTest, ClearForgetsEverything) {
   EXPECT_EQ(T.liveKeys(), 0u);
   for (std::uint64_t K = 1; K <= 100; ++K)
     EXPECT_FALSE(T.contains(K));
+}
+
+//===----------------------------------------------------------------------===//
+// LiveWindow: storage follows the window's high-water mark.
+//===----------------------------------------------------------------------===//
+
+TEST(LiveWindowTest, GrowsFromEightRowsKeepingRowsAndMasks) {
+  // Every field of a row is a function of its tag, so each surviving row
+  // can be checked after every compaction, regrow and stride re-layout.
+  // Tags from 40 on snapshot a 100-input alphabet, which forces the
+  // stride from 64 to 128 while the window is deep.
+  auto Alphabet = [](std::size_t Tag) -> std::size_t {
+    return Tag < 40 ? 3 : 100;
+  };
+  auto Mask = [](std::size_t Tag) {
+    return 0x9E3779B97F4A7C15ull * (Tag + 1);
+  };
+  LiveWindow W;
+  std::size_t NextTag = 0;
+  auto Push = [&] {
+    std::size_t Tag = NextTag++;
+    std::vector<std::int32_t> Invoked(Alphabet(Tag));
+    for (std::size_t I = 0; I != Invoked.size(); ++I)
+      Invoked[I] = static_cast<std::int32_t>(Tag * 7 + I);
+    W.pushResponse(Tag, static_cast<InputId>(Tag % 5),
+                   Output{static_cast<std::int64_t>(Tag)}, 2 * Tag,
+                   Mask(Tag), static_cast<ClientId>(Tag % 3),
+                   static_cast<std::uint32_t>(Tag), Invoked);
+  };
+  auto ExpectRows = [&](std::size_t FirstTag) {
+    ASSERT_EQ(W.size(), NextTag - FirstTag);
+    for (std::size_t Q = 0; Q != W.size(); ++Q) {
+      std::size_t Tag = FirstTag + Q;
+      EXPECT_EQ(W.tag(Q), Tag);
+      EXPECT_EQ(W.in(Q), static_cast<InputId>(Tag % 5));
+      EXPECT_EQ(W.out(Q).Val, static_cast<std::int64_t>(Tag));
+      EXPECT_EQ(W.invokeIdx(Q), 2 * Tag);
+      EXPECT_EQ(W.mustFollow(Q), Mask(Tag));
+      EXPECT_EQ(W.client(Q), static_cast<ClientId>(Tag % 3));
+      EXPECT_EQ(W.meta(Q), static_cast<std::uint32_t>(Tag));
+      const std::int32_t *Row = W.availRow(Q);
+      for (std::size_t I = 0; I != W.stride(); ++I)
+        ASSERT_EQ(Row[I], I < Alphabet(Tag)
+                              ? static_cast<std::int32_t>(Tag * 7 + I)
+                              : 0)
+            << "tag " << Tag << " input " << I;
+    }
+  };
+  const std::size_t RowBytes64 = sizeof(CommitObligation) +
+                                 sizeof(std::size_t) + sizeof(ClientId) +
+                                 sizeof(std::uint32_t) +
+                                 64 * sizeof(std::int32_t);
+
+  // No storage before the first response; 8 rows after it.
+  EXPECT_EQ(W.memoryBytes(), 0u);
+  Push();
+  EXPECT_EQ(W.memoryBytes(), 8 * RowBytes64);
+
+  // Retiring a prefix and appending past the high end compacts into the
+  // vacated front instead of growing.
+  for (int I = 0; I != 5; ++I)
+    Push();
+  W.eraseFront(4);
+  for (int I = 0; I != 6; ++I)
+    Push();
+  EXPECT_EQ(W.size(), 8u);
+  EXPECT_EQ(W.memoryBytes(), 8 * RowBytes64);
+  ExpectRows(4);
+
+  // A full window doubles; keep doubling past 64 live rows, through the
+  // stride re-layout.
+  while (W.size() != 70)
+    Push();
+  EXPECT_EQ(W.stride(), 128u);
+  EXPECT_GE(W.memoryBytes(), 70 * RowBytes64);
+  ExpectRows(4);
+
+  // Retirement and mask shifts keep working on the grown storage.
+  W.eraseFront(3);
+  W.shiftMasks(0);
+  Push();
+  ExpectRows(7);
 }
 
 //===----------------------------------------------------------------------===//

@@ -25,15 +25,19 @@
 //     structurally zero, every event applied);
 //   * the steady-state service path is allocation-free end to end (this
 //     binary interposes operator new — support/AllocGauge.h);
+//   * a young shard costs its ring plus a few KiB: everything else is
+//     allocated on first use;
 //   * ComposedVerdictTracker unit coverage (absorption, culprit and
 //     reason tracking, re-reporting, clear()).
 //
 //===----------------------------------------------------------------------===//
 
+#include "adt/Consensus.h"
 #include "adt/Register.h"
 #include "lin/LinChecker.h"
 #include "service/Service.h"
 #include "slin/Composition.h"
+#include "slin/InitRelation.h"
 #include "support/AllocGauge.h"
 #include "trace/Gen.h"
 
@@ -458,6 +462,61 @@ TEST(Service, SteadyStateServicePathIsAllocationFree) {
   if (AllocGauge::active())
     EXPECT_EQ(Allocs, 0u);
   EXPECT_EQ(Service.composedVerdict(), Verdict::Yes);
+}
+
+//===----------------------------------------------------------------------===//
+// Per-shard memory follows use.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One consensus slot of the Quorum->Paxos shape, in the speculative
+/// workload's signature PhaseSignature(1, 3): three proposers invoke in the
+/// quorum phase, one decides there, one switches into the Paxos phase with
+/// the quorum's value and decides it there, and the last decides in the
+/// quorum phase.
+std::vector<Action> shortConsensusSlot() {
+  const Input P1 = cons::proposeBy(5, 1), P2 = cons::proposeBy(6, 2),
+              P3 = cons::proposeBy(7, 3);
+  return {makeInvoke(1, 1, P1),
+          makeInvoke(2, 1, P2),
+          makeInvoke(3, 1, P3),
+          makeRespond(1, 1, P1, cons::decide(5)),
+          makeSwitch(2, 2, P2, SwitchValue{5}),
+          makeRespond(2, 2, P2, cons::decide(5)),
+          makeRespond(3, 1, P3, cons::decide(5))};
+}
+
+} // namespace
+
+TEST(Service, YoungShardsCostWhatTheyUse) {
+  // A shard reserves its ingest ring up front (the SPSC contract) and every
+  // other structure — memo table, scratch arena, live-window rows — on
+  // first use. A shard that has checked one short consensus slot, or seen
+  // only invocations, must therefore cost its ring plus a few KiB.
+  constexpr std::size_t YoungShardCeilingBytes = 12 * 1024;
+  const std::size_t RingBytes = ServiceConfig().RingCapacity * sizeof(Action);
+  ConsensusAdt Cons;
+
+  PhaseSignature Sig(1, 3);
+  ConsensusInitRelation Rel;
+  MonitorService Slin(Cons, Sig, Rel);
+  for (const Action &A : shortConsensusSlot())
+    Slin.ingest(0, A);
+  Slin.flush();
+  ASSERT_EQ(Slin.composedVerdict(), Verdict::Yes);
+  EXPECT_LE(Slin.maxShardMemoryBytes(), RingBytes + YoungShardCeilingBytes);
+  EXPECT_LE(Slin.slinShard(0)->scratchArena().reservedBytes(),
+            Arena::FirstBlockBytes);
+
+  MonitorService Lin(Cons);
+  for (ClientId C = 0; C != 4; ++C)
+    Lin.ingest(0, makeInvoke(C, 1, cons::proposeBy(C + 1, C)));
+  Lin.flush();
+  ASSERT_EQ(Lin.composedVerdict(), Verdict::Yes);
+  EXPECT_LE(Lin.maxShardMemoryBytes(), RingBytes + YoungShardCeilingBytes);
+  EXPECT_LE(Lin.linShard(0)->scratchArena().reservedBytes(),
+            Arena::FirstBlockBytes);
 }
 
 //===----------------------------------------------------------------------===//

@@ -29,6 +29,7 @@
 #include "adt/Consensus.h"
 #include "adt/Register.h"
 #include "engine/Incremental.h"
+#include "slin/InitRelation.h"
 #include "support/AllocGauge.h"
 #include "trace/Gen.h"
 
@@ -202,6 +203,19 @@ TEST(SteadyAlloc, SlinSteadyStateEventsAreAllocationFree) {
         << "steady slin events must not touch the heap";
 }
 
+namespace {
+
+void expectFootprintTracks(std::size_t Footprint, std::uint64_t LiveDelta) {
+  EXPECT_LE(Footprint, LiveDelta)
+      << "footprint estimate exceeds the measured live heap delta";
+  EXPECT_GE(Footprint, LiveDelta / 2)
+      << "footprint estimate lost the majority of the measured live heap "
+      << "delta (" << LiveDelta << " bytes live, " << Footprint
+      << " accounted)";
+}
+
+} // namespace
+
 // memoryFootprintBytes is an *estimate* (container capacities, arena
 // reservations) offered to capacity planners; this audits it against the
 // gauge-measured ground truth. A warmed outcome-only session's
@@ -218,8 +232,8 @@ TEST(SteadyAlloc, MemoryFootprintTracksMeasuredLiveBytes) {
   IncrementalOptions Opts;
   Opts.RetainTrace = false;
   Opts.RetainRetiredWitness = false;
-  // A small table keeps the one flat preallocation from drowning the
-  // capacity-accounted containers the audit is really about.
+  // A small table cap keeps the memo, once a search allocates it, from
+  // drowning the capacity-accounted containers the audit is really about.
   Opts.TranspositionCapacity = 1u << 8;
   LinCheckOptions Limits;
   Limits.WantWitness = false;
@@ -236,15 +250,59 @@ TEST(SteadyAlloc, MemoryFootprintTracksMeasuredLiveBytes) {
         static_cast<bool>(Inc->append(makeRespond(K % 4, 1, In, Out))));
     ASSERT_EQ(Inc->verdict(Limits).Outcome, Verdict::Yes);
   }
-  const std::uint64_t LiveDelta = AllocGauge::liveBytes() - Live0;
-  const std::size_t Footprint = Inc->memoryFootprintBytes();
+  expectFootprintTracks(Inc->memoryFootprintBytes(),
+                        AllocGauge::liveBytes() - Live0);
+}
 
-  EXPECT_LE(Footprint, LiveDelta)
-      << "footprint estimate exceeds the measured live heap delta";
-  EXPECT_GE(Footprint, LiveDelta / 2)
-      << "footprint estimate lost the majority of the measured live heap "
-      << "delta (" << LiveDelta << " bytes live, " << Footprint
-      << " accounted)";
+// The same audit on young shard-configured sessions, where most storage is
+// still absent (memo table unallocated until the first failed subtree,
+// one small arena block, an 8-row live window): a slin session that has
+// checked one short Quorum->Paxos consensus slot, and a lin session that
+// has seen only invocations. The estimate must keep tracking the heap
+// when the structures it used to be dominated by are not there.
+TEST(SteadyAlloc, MemoryFootprintTracksAYoungShard) {
+  if (!AllocGauge::active() || !AllocGauge::tracksBytes())
+    GTEST_SKIP() << "byte metering unavailable (sanitizer or non-glibc)";
+  IncrementalOptions Opts; // The service's per-shard options.
+  Opts.RetainTrace = false;
+  Opts.RetainRetiredWitness = false;
+  Opts.TranspositionCapacity = 1u << 12;
+
+  ConsensusAdt Cons;
+  PhaseSignature Sig(1, 3);
+  ConsensusInitRelation Rel;
+  SlinCheckOptions SlinLimits;
+  SlinLimits.WantWitness = false;
+  const Input P1 = cons::proposeBy(5, 1), P2 = cons::proposeBy(6, 2),
+              P3 = cons::proposeBy(7, 3);
+  const Action Slot[] = {makeInvoke(1, 1, P1),
+                         makeInvoke(2, 1, P2),
+                         makeInvoke(3, 1, P3),
+                         makeRespond(1, 1, P1, cons::decide(5)),
+                         makeSwitch(2, 2, P2, SwitchValue{5}),
+                         makeRespond(2, 2, P2, cons::decide(5)),
+                         makeRespond(3, 1, P3, cons::decide(5))};
+  const std::uint64_t SlinLive0 = AllocGauge::liveBytes();
+  auto Slin = std::make_unique<IncrementalSlinSession>(Cons, Sig, Rel, Opts);
+  for (const Action &A : Slot) {
+    ASSERT_TRUE(static_cast<bool>(Slin->append(A)));
+    ASSERT_EQ(Slin->verdict(SlinLimits).Outcome, Verdict::Yes);
+  }
+  expectFootprintTracks(Slin->memoryFootprintBytes(),
+                        AllocGauge::liveBytes() - SlinLive0);
+
+  RegisterAdt Reg;
+  LinCheckOptions LinLimits;
+  LinLimits.WantWitness = false;
+  const std::uint64_t LinLive0 = AllocGauge::liveBytes();
+  auto Lin = std::make_unique<IncrementalLinSession>(Reg, Opts);
+  for (ClientId C = 0; C != 4; ++C) {
+    ASSERT_TRUE(
+        static_cast<bool>(Lin->append(makeInvoke(C, 1, reg::write(C + 1)))));
+    ASSERT_EQ(Lin->verdict(LinLimits).Outcome, Verdict::Yes);
+  }
+  expectFootprintTracks(Lin->memoryFootprintBytes(),
+                        AllocGauge::liveBytes() - LinLive0);
 }
 
 // The interposer itself must be observable: this binary defines the gauge,
