@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Captures a committed BENCH_*.json artifact from one bench binary.
 
-    python3 bench/capture.py build/bench_e9_service [--runs 3] \
-        [-- <benchmark args>] > BENCH_e9.json
+    python3 bench/capture.py build/bench_e9_service > BENCH_e9.json
 
-Runs the binary --runs times back to back, so every row's samples are
+Runs the binary RUNS times back to back, so every row's samples are
 spread over the whole capture rather than taken in one burst, and merges
 the runs row by row: each numeric field is the median over the runs and
 "runs" records their count. The first output line is a host row,
@@ -24,6 +23,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+RUNS = 3
 
 
 def cpu_model():
@@ -77,8 +78,8 @@ def git_sha(root):
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
-def run_once(binary, args):
-    out = subprocess.run([binary] + args, capture_output=True, text=True,
+def run_once(binary):
+    out = subprocess.run([binary], capture_output=True, text=True,
                          check=True).stdout
     return [json.loads(line) for line in out.splitlines() if line.strip()]
 
@@ -104,17 +105,13 @@ def merge(runs):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("binary")
-    parser.add_argument("--runs", type=int, default=3)
-    argv = sys.argv[1:]
-    split = argv.index("--") if "--" in argv else len(argv)
-    opts = parser.parse_args(argv[:split])
-    bench_args = argv[split + 1:]
+    opts = parser.parse_args()
     binary = os.path.abspath(opts.binary)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     compiler, flags = compiler_and_flags(os.path.dirname(binary))
     host = {"name": "host", "cpu": cpu_model(), "nproc": os.cpu_count(),
             "compiler": compiler, "flags": flags, "git_sha": git_sha(root)}
-    runs = [run_once(binary, bench_args) for _ in range(opts.runs)]
+    runs = [run_once(binary) for _ in range(RUNS)]
     print(json.dumps(host))
     for row in merge(runs):
         print(json.dumps(row))

@@ -401,6 +401,11 @@ public:
   /// every event reuses the warmed blocks, none grows them).
   const Arena &scratchArena() const { return Scratch; }
 
+  /// The session's failed-subtree memo (exposed for the allocation-audit
+  /// tests: its slot array doubles as inserts accumulate, up to
+  /// IncrementalOptions::TranspositionCapacity).
+  const TranspositionTable &memo() const { return Memo; }
+
   /// Estimated bytes this session holds across its long-lived structures
   /// (memo table, scratch arena, interner, live window, dense per-client
   /// tables, retained chains). The dominant terms of a shard's footprint

@@ -28,10 +28,10 @@
 
 namespace slin {
 
-/// A monotonic allocator: allocation bumps a pointer within chained blocks;
-/// reset() rewinds to empty while keeping the blocks for reuse. Only
-/// trivially-destructible payloads may be placed in the arena — reset() runs
-/// no destructors.
+/// A monotonic allocator: allocation bumps a pointer through the last of a
+/// chain of blocks; reset() rewinds to empty while keeping the reserved
+/// bytes for reuse. Only trivially-destructible payloads may be placed in
+/// the arena — reset() runs no destructors.
 ///
 /// Blocks are sized by demand: the first is FirstBlockBytes (capped at
 /// BlockBytes), each later one doubles its predecessor up to BlockBytes, and
@@ -39,6 +39,12 @@ namespace slin {
 /// search that needs a few hundred bytes of scratch therefore reserves 4 KiB,
 /// not BlockBytes. Blocks are handed out uninitialized; allocZeroed() zeroes
 /// what it returns.
+///
+/// A reset() after a pass that spilled past its first block replaces the
+/// blocks with one block of reservedBytes(). Every later pass whose demand
+/// (each allocation's bytes plus its alignment) is no larger than any
+/// earlier pass's then fits that block in whatever order it allocates, so
+/// reservedBytes() stays flat once the high-water demand has been seen.
 class Arena {
 public:
   static constexpr std::size_t FirstBlockBytes = 1u << 12;
@@ -48,10 +54,10 @@ public:
   /// Allocates \p Bytes with the given power-of-two alignment.
   void *allocate(std::size_t Bytes,
                  std::size_t Align = alignof(std::max_align_t)) {
-    if (Current == Blocks.size() || Offset + Bytes + Align > Capacities[Current])
+    if (Blocks.empty() || Offset + Bytes + Align > LastBlockBytes)
       grow(Bytes + Align);
     std::uintptr_t P =
-        reinterpret_cast<std::uintptr_t>(Blocks[Current].get() + Offset);
+        reinterpret_cast<std::uintptr_t>(Blocks.back().get() + Offset);
     std::uintptr_t Aligned = (P + Align - 1) & ~(Align - 1);
     Offset += (Aligned - P) + Bytes;
     Allocated += Bytes;
@@ -75,9 +81,14 @@ public:
     return P;
   }
 
-  /// Rewinds the arena to empty, retaining the allocated blocks.
+  /// Rewinds the arena to empty, retaining the reserved bytes; a pass that
+  /// used more than one block has them merged into one.
   void reset() {
-    Current = 0;
+    if (Blocks.size() > 1) {
+      Blocks.clear();
+      Blocks.push_back(std::make_unique_for_overwrite<std::byte[]>(Reserved));
+      LastBlockBytes = Reserved;
+    }
     Offset = 0;
     Allocated = 0;
   }
@@ -92,37 +103,28 @@ public:
 
   /// Total bytes reserved from the heap across all retained blocks. Flat
   /// in steady state: growth here is a real heap allocation on the event
-  /// path.
+  /// path (and sets up one more, the merge at the next reset()).
   std::size_t reservedBytes() const { return Reserved; }
 
-  /// Number of retained blocks (each one heap allocation, ever).
+  /// Number of retained blocks: at most one after reset().
   std::size_t blockCount() const { return Blocks.size(); }
 
 private:
-  /// Advances to the next retained block with at least \p AtLeast free
-  /// bytes, appending a fresh block when none fits.
+  /// Appends a fresh block with at least \p AtLeast bytes to bump into.
   void grow(std::size_t AtLeast) {
-    std::size_t Next = Blocks.empty() ? 0 : Current + 1;
-    while (Next < Blocks.size() && Capacities[Next] < AtLeast)
-      ++Next;
-    if (Next == Blocks.size()) {
-      std::size_t Step = Capacities.empty()
-                             ? std::min(FirstBlockBytes, BlockBytes)
-                             : std::min(2 * Capacities.back(), BlockBytes);
-      std::size_t Cap = std::max(Step, AtLeast);
-      Blocks.push_back(std::make_unique_for_overwrite<std::byte[]>(Cap));
-      Capacities.push_back(Cap);
-      Reserved += Cap;
-    }
-    Current = Next;
+    std::size_t Step = std::min(
+        Blocks.empty() ? FirstBlockBytes : 2 * LastBlockBytes, BlockBytes);
+    LastBlockBytes = std::max(Step, AtLeast);
+    Blocks.push_back(
+        std::make_unique_for_overwrite<std::byte[]>(LastBlockBytes));
+    Reserved += LastBlockBytes;
     Offset = 0;
   }
 
   std::size_t BlockBytes;
   std::vector<std::unique_ptr<std::byte[]>> Blocks;
-  std::vector<std::size_t> Capacities;
-  std::size_t Current = 0; ///< Index of the block being bumped.
-  std::size_t Offset = 0;  ///< Bump offset within the current block.
+  std::size_t LastBlockBytes = 0; ///< Capacity of Blocks.back().
+  std::size_t Offset = 0; ///< Bump offset within Blocks.back().
   std::size_t Allocated = 0;
   std::size_t HighWater = 0; ///< Max Allocated ever (survives reset()).
   std::size_t Reserved = 0;  ///< Sum of retained block capacities.

@@ -71,12 +71,20 @@ TEST(ArenaTest, OverflowBlocksAreRetainedAndReused) {
   void *Big = A.allocate(1024); // Cannot fit a 64-byte block: dedicated block.
   ASSERT_NE(Small, nullptr);
   ASSERT_NE(Big, nullptr);
+  const std::size_t Reserved = A.reservedBytes();
   A.reset();
-  // The rewound arena must serve the same shapes from the retained blocks.
+  // The rewind merges the two blocks into one of the same total size,
+  // which serves the same shapes with no new reservation...
+  EXPECT_EQ(A.blockCount(), 1u);
   void *Small2 = A.allocate(16);
   void *Big2 = A.allocate(1024);
-  EXPECT_EQ(Small, Small2);
-  EXPECT_EQ(Big, Big2);
+  EXPECT_EQ(A.reservedBytes(), Reserved);
+  EXPECT_EQ(A.blockCount(), 1u);
+  // ...and later rewinds keep handing back that block's storage.
+  A.reset();
+  EXPECT_EQ(A.allocate(16), Small2);
+  EXPECT_EQ(A.allocate(1024), Big2);
+  EXPECT_EQ(A.reservedBytes(), Reserved);
 }
 
 TEST(ArenaTest, ZeroedArraysAreZeroAfterDirtyReuse) {
@@ -111,18 +119,41 @@ TEST(ArenaTest, BlocksGrowGeometricallyUpToBlockBytes) {
   EXPECT_EQ(Sizes, Expected);
   EXPECT_EQ(A.blockCount(), Expected.size());
 
-  // Rewind reuses every block: the same shapes land at the same addresses
-  // with no new reservation.
+  // Rewind merges the blocks into one, and the same shapes fit it with no
+  // new reservation; a second rewind hands back the same addresses.
   const std::size_t Reserved = A.reservedBytes();
+  A.reset();
+  EXPECT_EQ(A.blockCount(), 1u);
+  for (void *&P : Pieces)
+    P = A.allocate(1024);
+  EXPECT_EQ(A.reservedBytes(), Reserved);
+  EXPECT_EQ(A.blockCount(), 1u);
   A.reset();
   for (void *P : Pieces)
     EXPECT_EQ(A.allocate(1024), P);
   EXPECT_EQ(A.reservedBytes(), Reserved);
-  EXPECT_EQ(A.blockCount(), Expected.size());
 
   // An allocation past BlockBytes gets a dedicated block of its own size.
   A.allocate(100000);
   EXPECT_GE(A.reservedBytes() - Reserved, 100000u);
+}
+
+TEST(ArenaTest, DemandBelowTheHighWaterFitsInAnyOrder) {
+  // Pass A takes 3 KiB then 32 KiB: a 4 KiB block, then a dedicated one.
+  Arena A(/*BlockBytes=*/1u << 16);
+  A.allocate(3u << 10);
+  A.allocate(32u << 10);
+  const std::size_t Reserved = A.reservedBytes();
+  A.reset();
+  // Pass B needs less in total but in another order: 1 KiB, 3.5 KiB, then
+  // 30 KiB. Over retained 4 KiB + 32 KiB blocks the 3.5 KiB piece would
+  // spill into the large block and the 30 KiB piece would need a third;
+  // the merged block takes all three.
+  A.allocate(1u << 10);
+  A.allocate(3584);
+  A.allocate(30u << 10);
+  EXPECT_EQ(A.reservedBytes(), Reserved);
+  EXPECT_EQ(A.blockCount(), 1u);
 }
 
 TEST(ArenaTest, FirstBlockNeverExceedsBlockBytes) {

@@ -29,6 +29,7 @@
 #include "adt/Consensus.h"
 #include "adt/Register.h"
 #include "engine/Incremental.h"
+#include "engine/Transposition.h"
 #include "slin/InitRelation.h"
 #include "support/AllocGauge.h"
 #include "trace/Gen.h"
@@ -36,6 +37,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 SLIN_DEFINE_ALLOC_GAUGE()
 
@@ -303,6 +305,86 @@ TEST(SteadyAlloc, MemoryFootprintTracksAYoungShard) {
   }
   expectFootprintTracks(Lin->memoryFootprintBytes(),
                         AllocGauge::liveBytes() - LinLive0);
+}
+
+// The memo is the one shard structure that can grow after warm-up: salting
+// orphans stale keys without freeing their slots, so a session whose
+// searches keep proving failed subtrees fills the table until it reaches
+// its maximum. The growth is bounded by the doublings from the first
+// allocation to that maximum — one heap allocation each — and the table
+// never allocates again once it is there.
+TEST(SteadyAlloc, MemoGrowthIsBoundedByItsDoublings) {
+  constexpr std::size_t Max = 1u << 12; // The service's per-shard cap.
+  TranspositionTable T(Max);
+  Rng R(0x3E30);
+  const std::uint64_t Allocs0 = AllocGauge::count();
+  for (unsigned I = 0; I != 4 * Max; ++I)
+    T.insert(R.next());
+  const std::uint64_t GrowAllocs = AllocGauge::count() - Allocs0;
+  EXPECT_EQ(T.capacity(), Max);
+  for (unsigned I = 0; I != 4 * Max; ++I)
+    T.insert(R.next());
+  const std::uint64_t MaxAllocs = AllocGauge::count() - Allocs0 - GrowAllocs;
+  EXPECT_GT(T.stats().Evictions, 0u);
+  if (AllocGauge::active()) {
+    EXPECT_EQ(GrowAllocs, 5u) << "256 slots, then four doublings to 4 Ki";
+    EXPECT_EQ(MaxAllocs, 0u) << "a table at its maximum must not allocate";
+  }
+
+  // The same bound on a shard-configured session fed rounds of four
+  // concurrent register operations (every write in a round writes the same
+  // value, reads see the old or the new one, responses in reverse order),
+  // whose searches keep backing out of failed subtrees: every change of
+  // the memo's capacity is a doubling, the last one reaches the maximum,
+  // and inserts go on at the maximum with the slot array flat.
+  RegisterAdt Reg;
+  IncrementalOptions Opts;
+  Opts.RetainTrace = false;
+  Opts.RetainRetiredWitness = false;
+  Opts.TranspositionCapacity = Max;
+  IncrementalLinSession Inc(Reg, Opts);
+  LinCheckOptions Limits;
+  Limits.WantWitness = false;
+  std::unique_ptr<AdtState> Model = Reg.makeState();
+  constexpr unsigned Conc = 4;
+  auto OneRound = [&](unsigned K) {
+    const Input W = reg::write(static_cast<std::int64_t>(1 + K % 3));
+    const Input Rd = reg::read();
+    const Output Old = Model->apply(Rd), Wrote = Model->apply(W),
+                 New = Model->apply(Rd);
+    Input In[Conc];
+    Output Out[Conc];
+    const unsigned Writer = R.next() % Conc;
+    for (unsigned C = 0; C != Conc; ++C) {
+      const bool IsWrite = C == Writer || R.next() % 2;
+      In[C] = IsWrite ? W : Rd;
+      Out[C] = IsWrite ? Wrote : (R.next() % 2 ? Old : New);
+      Inc.append(makeInvoke(C, 1, In[C]));
+    }
+    for (unsigned C = Conc; C-- != 0;)
+      Inc.append(makeRespond(C, 1, In[C], Out[C]));
+    return Inc.verdict(Limits).Outcome;
+  };
+
+  std::vector<std::size_t> Capacities;
+  unsigned K = 0;
+  for (; K != 1000; ++K) {
+    ASSERT_EQ(OneRound(K), Verdict::Yes) << "round " << K;
+    if (Inc.memo().capacity() != 0 &&
+        (Capacities.empty() || Capacities.back() != Inc.memo().capacity()))
+      Capacities.push_back(Inc.memo().capacity());
+  }
+  ASSERT_FALSE(Capacities.empty()) << "the stream never inserted a key";
+  EXPECT_EQ(Capacities.front(), 256u);
+  for (std::size_t I = 1; I < Capacities.size(); ++I)
+    EXPECT_EQ(Capacities[I], 2 * Capacities[I - 1]);
+  EXPECT_EQ(Capacities.back(), Max);
+
+  const std::uint64_t Inserts0 = Inc.memo().stats().Inserts;
+  for (; K != 1500; ++K)
+    ASSERT_EQ(OneRound(K), Verdict::Yes) << "round " << K;
+  EXPECT_GT(Inc.memo().stats().Inserts, Inserts0);
+  EXPECT_EQ(Inc.memo().memoryBytes(), Max * sizeof(std::uint64_t));
 }
 
 // The interposer itself must be observable: this binary defines the gauge,
