@@ -45,6 +45,11 @@
 //     inner loop (frontier resumption per interpretation), on switch-free
 //     consensus phase traces through the consensus relation.
 //
+//   * SteadyState_WindowRetired: the lin monitor past a retired-prefix No
+//     (the WindowRetired Unknown), one verdict per event. The session
+//     caches that Unknown like a No, so nodes_per_check must be 0.0; CI
+//     gates it with the other steady-state rows.
+//
 //   * SteadyState_MonitorSlin: the slin analogue of the Long row. One
 //     outcome-only slin session (trace retention off, retired-witness
 //     retention off) is primed with thousands of quiescing consensus
@@ -521,6 +526,79 @@ static void BM_E8_SteadyState_Monitor_Long(benchmark::State &State) {
 }
 BENCHMARK(BM_E8_SteadyState_Monitor_Long)
     ->Arg(4096)
+    ->UseManualTime();
+
+//===----------------------------------------------------------------------===//
+// SteadyState_WindowRetired: the lin monitor past a retired-prefix No. One
+// outcome-only session is primed like the Long row, then one read returns
+// a value the register never held: with obligations already retired, the
+// live-window No is the WindowRetired Unknown. The session caches it like
+// a No, so every later verdict — one per event, invocations and responses,
+// first inside the 64-slot window and then past it (nothing retires behind
+// the cached state) — is served without a search: nodes_per_check must be
+// 0.0 and window_retired_per_check 1.0. The iteration count is fixed
+// because the live window grows by one obligation per iteration.
+//===----------------------------------------------------------------------===//
+
+static void BM_E8_SteadyState_WindowRetired(benchmark::State &State) {
+  RegisterAdt Reg;
+  unsigned Ops = static_cast<unsigned>(State.range(0));
+  Trace T = quiescingRegisterHistory(2 * Ops, 4, 0xE85);
+  LinCheckOptions Opts;
+  Opts.WantWitness = false;
+  IncrementalOptions MonitorConfig;
+  MonitorConfig.RetainTrace = false;
+  MonitorConfig.RetainRetiredWitness = false;
+  IncrementalLinSession Inc(Reg, MonitorConfig);
+  for (const Action &A : T) {
+    Inc.append(A);
+    benchmark::DoNotOptimize(Inc.verdict(Opts).Outcome);
+  }
+  Inc.append(makeInvoke(62, 1, reg::read()));
+  Inc.append(makeRespond(62, 1, reg::read(), Output{77}));
+  LinCheckResult First = Inc.verdict(Opts);
+  if (Inc.retiredObligations() == 0 || First.Reason != WindowRetiredReason) {
+    State.SkipWithError("priming did not reach the WindowRetired Unknown");
+    return;
+  }
+  std::uint64_t Nodes = 0, Checks = 0, Served = 0, K = 0;
+  std::uint64_t Nodes0 = Inc.stats().Search.Nodes;
+  std::uint64_t Retired0 = Inc.stats().WindowRetiredUnknowns;
+  TimedRegion Timer;
+  LatencySamples Latency;
+  for (auto _ : State) {
+    // Writes acknowledge with the written value whatever the state.
+    std::int64_t V = static_cast<std::int64_t>(1 + K++ % 3);
+    Input In = reg::write(V);
+    Timer.start();
+    Inc.append(makeInvoke(62, 1, In));
+    LinCheckResult RI = Inc.verdict(Opts);
+    Inc.append(makeRespond(62, 1, In, Output{V}));
+    LinCheckResult RR = Inc.verdict(Opts);
+    Latency.add(Timer.stop(State));
+    benchmark::DoNotOptimize(RI.Outcome);
+    Served += (RI.Reason == WindowRetiredReason) +
+              (RR.Reason == WindowRetiredReason);
+    Nodes += RI.NodesExplored + RR.NodesExplored;
+    Checks += 2;
+  }
+  Timer.report(State);
+  Latency.report(State);
+  double C = static_cast<double>(Checks ? Checks : 1);
+  State.counters["nodes_per_check"] =
+      benchmark::Counter(static_cast<double>(Nodes) / C);
+  State.counters["search_nodes_per_check"] = benchmark::Counter(
+      static_cast<double>(Inc.stats().Search.Nodes - Nodes0) / C);
+  State.counters["window_retired_per_check"] = benchmark::Counter(
+      static_cast<double>(Inc.stats().WindowRetiredUnknowns - Retired0) / C);
+  State.counters["reason_retired_per_check"] =
+      benchmark::Counter(static_cast<double>(Served) / C);
+  State.counters["live_window_high_water"] = benchmark::Counter(
+      static_cast<double>(Inc.stats().LiveWindowHighWater));
+}
+BENCHMARK(BM_E8_SteadyState_WindowRetired)
+    ->Arg(4096)
+    ->Iterations(8192)
     ->UseManualTime();
 
 //===----------------------------------------------------------------------===//

@@ -55,6 +55,8 @@ namespace {
 constexpr std::uint64_t LinSaltDomain = 0x1A2B3C4D5E6F7081ull;
 constexpr std::uint64_t SlinSaltDomain = 0x51A9B8C7D6E5F403ull;
 
+constexpr char NoLinearizationReason[] = "no linearization function exists";
+
 std::uint64_t interpretationHash(const InitInterpretation &Finit) {
   std::uint64_t H = 0xF1417ull;
   for (const auto &[Index, Hist] : Finit) {
@@ -329,10 +331,11 @@ WellFormedness IncrementalLinSession::append(const Action &A) {
     // verdict stands. A weaker relation may instead credit the new input
     // to live responses it leaves unordered past this invocation
     // (OrderRelation::creditsLaterInvoke): the problem only *relaxes*, so
-    // a cached Yes stands, but a cached No — and every retained memo
-    // failure — may have depended on the tighter rows and must go.
+    // a cached Yes stands, but a cached No or retired-prefix No — and every
+    // retained memo failure — may have depended on the tighter rows and
+    // must go.
     if (!Order.isStrict() && Obligations.creditInvoke(Order, A.Client, Id)) {
-      if (HaveResult && Cached == Verdict::No)
+      if (HaveResult && Cached != Verdict::Yes)
         HaveResult = false;
       LineageSalt = nextLineageSalt();
       HavePrefixSalt = false;
@@ -370,8 +373,9 @@ WellFormedness IncrementalLinSession::append(const Action &A) {
     OverflowNoted = true; // One overflow excursion, counted once.
     ++Stats.WindowOverflows;
   }
-  // A cached No stays No (absorption); a cached Yes now undercounts the
-  // obligations and verdict() will resume from the retained frontier.
+  // A cached No or retired-prefix No stands (absorption); a cached Yes now
+  // undercounts the obligations and verdict() will resume from the
+  // retained frontier.
   return W;
 }
 
@@ -522,16 +526,9 @@ IncrementalLinSession::drainOverflow(const LinCheckOptions &Limits,
       break;
     }
     if (R.Outcome == Verdict::No) {
-      if (WindowBase == 0) {
-        // Conclusive for the whole stream: the restriction of any full
-        // witness would have satisfied this sub-problem.
-        HaveResult = true;
-        Cached = Verdict::No;
-        CachedReason = "no linearization function exists";
-      } else {
-        Out.RetiredNo = true;
-        ++Stats.WindowRetiredUnknowns;
-      }
+      // The restriction of any full witness would have satisfied this
+      // sub-problem, so the sub-No stands for the whole stream.
+      cacheNo();
       break;
     }
     std::size_t K = alignedRetireLen(
@@ -545,8 +542,8 @@ IncrementalLinSession::drainOverflow(const LinCheckOptions &Limits,
   if (FoldedAny) {
     Order.rebuildMasks(Obligations);
     // The old cached chain and frontier predate the drain's folds; they no
-    // longer extend the retired base. (A cached No survives — it is
-    // absorbing regardless of windowing.)
+    // longer extend the retired base. (A cached No or retired-prefix No
+    // survives — it is absorbing regardless of windowing.)
     if (Cached == Verdict::Yes)
       HaveResult = false;
     SuccessMaster.clear();
@@ -615,18 +612,10 @@ bool IncrementalLinSession::boundedFallback(
       return true;
     }
     if (Sub.Outcome == Verdict::No) {
-      if (WindowBase == 0) {
-        // Conclusive for the whole stream: the restriction of any full
-        // witness would have satisfied this sub-problem.
-        HaveResult = true;
-        Cached = Verdict::No;
-        CachedReason = "no linearization function exists";
-        R.Outcome = Verdict::No;
-        R.Reason = CachedReason;
-      } else {
-        ++Stats.WindowRetiredUnknowns;
-        R.Reason = WindowRetiredReason;
-      }
+      // As for the drain: the restriction of any full witness would have
+      // satisfied this sub-problem.
+      cacheNo();
+      serveCached(R);
       return true;
     }
     // Sub-Yes. The captured boundary leaf is discarded — the session
@@ -771,7 +760,7 @@ LinCheckResult IncrementalLinSession::runSearch(const LinCheckOptions &Opts,
   } else if (R.Outcome == Verdict::Unknown) {
     Result.Reason = std::move(R.Reason);
   } else {
-    Result.Reason = "no linearization function exists";
+    Result.Reason = NoLinearizationReason;
   }
   return Result;
 }
@@ -897,6 +886,33 @@ LinCheckResult IncrementalLinSession::finish(LinCheckResult R) {
   return R;
 }
 
+void IncrementalLinSession::cacheNo() {
+  // A conclusive No of the live window, or of its exact first-64
+  // restriction. With nothing retired it is the session's No. Behind a
+  // retired prefix it only rules out completions of the pinned retired
+  // chain — a different linearization of the retired region might have
+  // worked — so it is the WindowRetired Unknown. (Doomed streams never
+  // reach this point: ill-formedness is No regardless.) Either is final
+  // under extension: a witness of an extension restricts to one of the
+  // refuted problem (Strict extensions only add obligations), so both are
+  // cached and absorbed; only a TsoHb invoke credit re-opens them.
+  HaveResult = true;
+  if (WindowBase == 0) {
+    Cached = Verdict::No;
+    CachedReason = NoLinearizationReason;
+  } else {
+    Cached = Verdict::Unknown;
+    CachedReason = WindowRetiredReason;
+  }
+}
+
+void IncrementalLinSession::serveCached(LinCheckResult &R) {
+  R.Outcome = Cached;
+  R.Reason = CachedReason;
+  if (Cached == Verdict::Unknown)
+    ++Stats.WindowRetiredUnknowns;
+}
+
 LinCheckResult IncrementalLinSession::verdict(const LinCheckOptions &Limits) {
   LinCheckResult R;
   if (Doomed) {
@@ -904,10 +920,9 @@ LinCheckResult IncrementalLinSession::verdict(const LinCheckOptions &Limits) {
     R.Reason = DoomReason;
     return finish(std::move(R));
   }
-  if (Opts.Resume && HaveResult && Cached == Verdict::No) {
-    R.Outcome = Verdict::No;
-    R.Reason = CachedReason;
-    return finish(std::move(R)); // No is final under extension.
+  if (Opts.Resume && HaveResult && Cached != Verdict::Yes) {
+    serveCached(R); // No, plain or behind the retired prefix, is final.
+    return finish(std::move(R));
   }
   std::uint64_t DrainNodes = 0;
   LinCheckOptions Avail = Limits; // Budget left for the search phases.
@@ -916,17 +931,16 @@ LinCheckResult IncrementalLinSession::verdict(const LinCheckOptions &Limits) {
     // sub-searches retire what the cut allows — a no-op O(clients) check
     // while a straggler pins the cut); whatever the window still holds
     // past the limit is the structural Unknown, surfaced without a
-    // search. The drain can also conclude: No (nothing retired — cached
-    // and absorbed above on the next call) or a retired-prefix No (the
-    // WindowRetired Unknown). Drain work and the searches below share the
-    // one verdict's configured budgets.
+    // search. The drain can also conclude a sub-No: the session No with
+    // nothing retired, the WindowRetired Unknown behind a retired prefix,
+    // cached either way and absorbed above on the next call. Drain work
+    // and the searches below share the one verdict's configured budgets.
     auto DrainStart = std::chrono::steady_clock::now();
     DrainOutcome D;
     if (Opts.Resume)
       D = drainOverflow(Limits, DrainNodes, DrainStart);
-    if (HaveResult && Cached == Verdict::No) {
-      R.Outcome = Verdict::No;
-      R.Reason = CachedReason;
+    if (HaveResult && Cached != Verdict::Yes) {
+      serveCached(R);
       R.NodesExplored = DrainNodes;
       return finish(std::move(R));
     }
@@ -937,8 +951,6 @@ LinCheckResult IncrementalLinSession::verdict(const LinCheckOptions &Limits) {
         // budget the drain can finish.
         R.Reason = D.BudgetReason;
         R.BudgetLimited = true;
-      } else if (D.RetiredNo) {
-        R.Reason = WindowRetiredReason;
       } else if (!boundedFallback(Limits, DrainNodes, DrainStart, R)) {
         // The graded fallback shaped R (BoundedYes, a conclusive No, the
         // WindowRetired Unknown, or a budget stop) — or did not apply,
@@ -1046,21 +1058,9 @@ LinCheckResult IncrementalLinSession::verdict(const LinCheckOptions &Limits) {
       completeWitness(R.Witness);
     else
       R.Witness = LinWitness();
-  } else if (R.Outcome == Verdict::No && WindowBase != 0) {
-    // The live-window search is complete over completions of the retired
-    // chain only: a different linearization of the retired region might
-    // have worked, so a conclusive No is not sound here. (Doomed streams
-    // never reach this point — ill-formedness is No regardless.)
-    R.Outcome = Verdict::Unknown;
-    R.Reason = WindowRetiredReason;
-    R.BudgetLimited = false;
-    ++Stats.WindowRetiredUnknowns;
-    HaveResult = false;
   } else if (R.Outcome == Verdict::No) {
-    HaveResult = true;
-    Cached = Verdict::No;
-    CachedReason = R.Reason;
-    CheckedObligations = Obligations.size();
+    cacheNo();
+    serveCached(R);
   } else {
     HaveResult = false;
     if (R.BudgetLimited)

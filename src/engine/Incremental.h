@@ -90,13 +90,18 @@
 /// Verdicts are preserved exactly: conclusive (Yes/No) answers equal the
 /// batch checkers' on the materialized trace (the search is complete and
 /// every prune is sound); only which traces exhaust a *budget* can differ,
-/// as with warm batch sessions. Two zero-search absorptions shortcut the
+/// as with warm batch sessions. Three zero-search absorptions shortcut the
 /// common monitor path: an appended invocation changes no obligation (the
-/// cached verdict stands, returned without expanding a single node), and
-/// No is final — an extension of a non-linearizable trace is
-/// non-linearizable (its witness would restrict to one for the prefix).
-/// Absorbed Yes verdicts still hand back the retained witness, so they
-/// cost a copy of it; only the search work is zero.
+/// cached verdict stands, returned without expanding a single node); No is
+/// final — an extension of a non-linearizable trace is non-linearizable
+/// (its witness would restrict to one for the prefix); and so is the lin
+/// session's WindowRetired Unknown, which is the same kind of conclusive
+/// No, proven for the live window behind the pinned retired prefix, and is
+/// cached and served like a No. Under a weak order a cross-client
+/// invocation can credit an input to a live response and relax the
+/// problem; that drops both cached non-Yes verdicts, and the next verdict
+/// searches again. Absorbed Yes verdicts still hand back the retained
+/// witness, so they cost a copy of it; only the search work is zero.
 ///
 /// markPrefix()/rewindToMark() expose the shared-prefix form of the same
 /// machinery to the corpus driver: verdict at the group's common prefix,
@@ -132,10 +137,14 @@ inline constexpr char WindowOverflowReason[] =
     "exact search not attempted";
 
 /// Stable reason string for the Unknown a windowed session reports when the
-/// live-window search concluded No but obligations were already retired: a
-/// conclusive No would require backtracking into the retired prefix, whose
-/// linearization is pinned. (Yes verdicts are unaffected — they carry a
-/// replayable witness of retired prefix ++ live chain.)
+/// live-window search (or its exact first-64 restriction) concluded No but
+/// obligations were already retired: a conclusive No would require
+/// backtracking into the retired prefix, whose linearization is pinned.
+/// (Yes verdicts are unaffected — they carry a replayable witness of
+/// retired prefix ++ live chain.) The lin session caches this Unknown like
+/// a No: every later verdict returns it without a search, also while a
+/// straggler pins the window past its limit, until a weak-order invoke
+/// credit re-opens the problem.
 inline constexpr char WindowRetiredReason[] =
     "WindowRetired: no completion extends the retired prefix; a conclusive "
     "No would require backtracking into retired obligations";
@@ -437,7 +446,8 @@ public:
   /// 64 completions). Verdicts during an excursion are the structural
   /// Unknown (WindowOverflowReason), surfaced without a search while the
   /// straggler pins the cut; once it closes, verdict() drains the backlog
-  /// with prefix sub-searches and definitive verdicts resume.
+  /// with prefix sub-searches and definitive verdicts resume. A session
+  /// holding a cached No or WindowRetired Unknown keeps serving it instead.
   bool overflowed() const {
     return Obligations.size() > IncrementalWindowLimit;
   }
@@ -519,12 +529,9 @@ private:
   /// (no-op when nothing is retirable). Called when a response finds the
   /// window full; search-free.
   void retireQuiescentPrefix();
-  /// What an overflow drain concluded beyond its folds.
+  /// What an overflow drain concluded beyond its folds (a sub-No is
+  /// cached by cacheNo()).
   struct DrainOutcome {
-    /// A sub-search concluded No against a retired prefix (the
-    /// WindowRetired case). A No with nothing retired is instead cached
-    /// as the absorbing session No.
-    bool RetiredNo = false;
     /// The drain stopped on budget exhaustion (retryable, not structural).
     bool BudgetStopped = false;
     std::string BudgetReason; ///< Set when BudgetStopped.
@@ -554,6 +561,13 @@ private:
   /// live-window witness.
   void completeWitness(LinWitness &W) const;
   LinCheckResult runSearch(const LinCheckOptions &Opts, bool FromFrontier);
+  /// Caches a conclusive No of the live window (or of its first-64
+  /// restriction) as the absorbing verdict: No with nothing retired, the
+  /// WindowRetired Unknown behind a retired prefix.
+  void cacheNo();
+  /// Shapes \p R as the cached non-Yes verdict (counting a WindowRetired
+  /// Unknown in the stats).
+  void serveCached(LinCheckResult &R);
   LinCheckResult finish(LinCheckResult R);
   std::uint64_t nextLineageSalt();
 

@@ -1123,6 +1123,251 @@ TEST(IncrementalSessionTest, NoPastRetirementDegradesToWindowRetired) {
   EXPECT_EQ(Doomy.verdict(Opts).Outcome, Verdict::No);
 }
 
+//===----------------------------------------------------------------------===//
+// The cached WindowRetired Unknown: a retired-prefix No is final under
+// extension, so the lin session caches it like a No, from each of the three
+// places that prove it (the root search, the overflow drain, the pinned
+// bounded fallback), and serves every later verdict without a search until
+// a TsoHb invoke credit re-opens the problem.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Ops sequential register operations on clients 0-3 continuing
+/// \p Model's linearization order, as events.
+Trace sequentialRegisterOps(unsigned Ops, AdtState &Model,
+                            std::uint32_t Meta = 0) {
+  Trace T;
+  for (unsigned K = 0; K != Ops; ++K) {
+    Input In = K % 3 ? reg::write(static_cast<std::int64_t>(1 + K % 3))
+                     : reg::read();
+    T.push_back(makeInvoke(K % 4, 1, In));
+    Action R = makeRespond(K % 4, 1, In, Model.apply(In));
+    R.Meta = Meta;
+    T.push_back(R);
+  }
+  return T;
+}
+
+/// A read on client 9 returning a value the register never held.
+void appendImpossibleRead(IncrementalLinSession &Inc) {
+  ASSERT_TRUE(Inc.append(makeInvoke(9, 1, reg::read())));
+  ASSERT_TRUE(Inc.append(makeRespond(9, 1, reg::read(), Output{77})));
+}
+
+/// Checks that \p R is the WindowRetired Unknown.
+void expectWindowRetired(const LinCheckResult &R) {
+  EXPECT_EQ(R.Outcome, Verdict::Unknown);
+  EXPECT_EQ(R.Reason, WindowRetiredReason);
+  EXPECT_EQ(R.Grade, VerdictGrade::Unknown);
+  EXPECT_FALSE(R.BudgetLimited);
+}
+
+/// Verdicts served from the cache, by event kind and window position.
+struct CacheServes {
+  unsigned InvokesInside = 0, ResponsesInside = 0;
+  unsigned InvokesPast = 0, ResponsesPast = 0;
+};
+
+/// Appends \p Events one at a time with a verdict after each. Every verdict
+/// must be the WindowRetired Unknown served from the cache: no search node
+/// anywhere, and one WindowRetiredUnknowns count per verdict.
+CacheServes expectServedFromCache(IncrementalLinSession &Inc,
+                                  const Trace &Events,
+                                  const LinCheckOptions &Opts) {
+  CacheServes S;
+  for (const Action &A : Events) {
+    EXPECT_TRUE(Inc.append(A));
+    std::uint64_t Nodes = Inc.stats().Search.Nodes;
+    std::uint64_t Served = Inc.stats().WindowRetiredUnknowns;
+    LinCheckResult R = Inc.verdict(Opts);
+    expectWindowRetired(R);
+    EXPECT_EQ(R.NodesExplored, 0u);
+    EXPECT_EQ(Inc.stats().Search.Nodes, Nodes);
+    EXPECT_EQ(Inc.stats().WindowRetiredUnknowns, Served + 1);
+    bool Past = Inc.overflowed();
+    if (isInvoke(A))
+      ++(Past ? S.InvokesPast : S.InvokesInside);
+    else
+      ++(Past ? S.ResponsesPast : S.ResponsesInside);
+  }
+  return S;
+}
+
+/// Takes the verdict that first proves the WindowRetired Unknown and checks
+/// that it searched and counted once.
+void expectProvenRetired(IncrementalLinSession &Inc,
+                         const LinCheckOptions &Opts) {
+  std::uint64_t Nodes = Inc.stats().Search.Nodes;
+  std::uint64_t Served = Inc.stats().WindowRetiredUnknowns;
+  LinCheckResult R = Inc.verdict(Opts);
+  expectWindowRetired(R);
+  EXPECT_GT(R.NodesExplored, 0u);
+  EXPECT_GT(Inc.stats().Search.Nodes, Nodes);
+  EXPECT_EQ(Inc.stats().WindowRetiredUnknowns, Served + 1);
+}
+
+} // namespace
+
+TEST(IncrementalSessionTest, RootSearchRetiredNoIsServedFromTheCache) {
+  // Source 1: a live window of at most 64 obligations, behind a retired
+  // prefix, fails the root search. Later events cross the window limit
+  // (nothing retires behind the cached state) and are all absorbed.
+  RegisterAdt Reg;
+  IncrementalLinSession Inc(Reg);
+  LinCheckOptions Opts;
+  Opts.WantWitness = false;
+  std::unique_ptr<AdtState> Model = Reg.makeState();
+  streamSequentialRegisterOps(Inc, 100, Opts, /*VerdictPerEvent=*/true,
+                              Model.get());
+  ASSERT_GT(Inc.retiredObligations(), 0u);
+  appendImpossibleRead(Inc);
+  ASSERT_FALSE(Inc.overflowed());
+  expectProvenRetired(Inc, Opts);
+  CacheServes S =
+      expectServedFromCache(Inc, sequentialRegisterOps(80, *Model), Opts);
+  EXPECT_GT(S.InvokesInside, 0u);
+  EXPECT_GT(S.ResponsesInside, 0u);
+  EXPECT_GT(S.InvokesPast, 0u);
+  EXPECT_GT(S.ResponsesPast, 0u);
+}
+
+TEST(IncrementalSessionTest, DrainRetiredNoIsServedFromTheCache) {
+  // Source 2: the window outgrew the limit with nothing pinning the cut;
+  // the drain's first-64 sub-search fails behind the retired prefix. The
+  // tail exceeds InterferenceBound, so the bounded fallback cannot be what
+  // proves it.
+  RegisterAdt Reg;
+  IncrementalLinSession Inc(Reg);
+  LinCheckOptions Opts;
+  Opts.WantWitness = false;
+  std::unique_ptr<AdtState> Model = Reg.makeState();
+  streamSequentialRegisterOps(Inc, 100, Opts, /*VerdictPerEvent=*/true,
+                              Model.get());
+  appendImpossibleRead(Inc);
+  streamSequentialRegisterOps(Inc, 90, Opts, /*VerdictPerEvent=*/false,
+                              Model.get());
+  ASSERT_TRUE(Inc.overflowed());
+  ASSERT_GT(Inc.retiredObligations(), 0u);
+  ASSERT_GT(Inc.liveWindow() - 64, IncrementalOptions().InterferenceBound);
+  expectProvenRetired(Inc, Opts);
+  CacheServes S =
+      expectServedFromCache(Inc, sequentialRegisterOps(20, *Model), Opts);
+  EXPECT_EQ(S.InvokesPast, 20u);
+  EXPECT_EQ(S.ResponsesPast, 20u);
+}
+
+TEST(IncrementalSessionTest, PinnedFallbackRetiredNoIsServedFromTheCache) {
+  // Source 3: a straggler pins the cut, the out-of-window tail is within
+  // InterferenceBound, and the bounded fallback's first-64 sub-search fails
+  // behind the retired prefix. The cached reason stays WindowRetired once
+  // the tail outgrows the bound and after the straggler responds.
+  RegisterAdt Reg;
+  IncrementalLinSession Inc(Reg);
+  LinCheckOptions Opts;
+  Opts.WantWitness = false;
+  std::unique_ptr<AdtState> Model = Reg.makeState();
+  streamSequentialRegisterOps(Inc, 100, Opts, /*VerdictPerEvent=*/true,
+                              Model.get());
+  ASSERT_TRUE(Inc.append(makeInvoke(63, 1, reg::write(9))));
+  appendImpossibleRead(Inc);
+  streamSequentialRegisterOps(Inc, 70, Opts, /*VerdictPerEvent=*/false,
+                              Model.get());
+  ASSERT_TRUE(Inc.overflowed());
+  ASSERT_GT(Inc.retiredObligations(), 0u);
+  ASSERT_LE(Inc.liveWindow() - 64, IncrementalOptions().InterferenceBound);
+  expectProvenRetired(Inc, Opts);
+  CacheServes S =
+      expectServedFromCache(Inc, sequentialRegisterOps(20, *Model), Opts);
+  EXPECT_EQ(S.InvokesPast + S.ResponsesPast, 40u);
+  EXPECT_GT(Inc.liveWindow() - 64, IncrementalOptions().InterferenceBound);
+  Trace Release{makeRespond(63, 1, reg::write(9), Output{9})};
+  expectServedFromCache(Inc, Release, Opts);
+  EXPECT_EQ(Inc.stats().BoundedYesVerdicts, 0u);
+}
+
+TEST(IncrementalSessionTest, TsoInvokeCreditReopensACachedRetiredNo) {
+  // Under TsoHb a cross-client invocation can credit its input to an
+  // unflushed live response: the problem relaxes and the cached
+  // WindowRetired Unknown must go. Here the unflushed read of 77 becomes
+  // explicable once another client invokes write(77). The re-opened
+  // verdict searches again and must equal that of a session fed the same
+  // events that never held the cached state.
+  RegisterAdt Reg;
+  IncrementalOptions Tso;
+  Tso.Order = OrderRelationKind::TsoHb;
+  LinCheckOptions Opts;
+  Opts.WantWitness = false;
+  std::unique_ptr<AdtState> Model = Reg.makeState();
+  Trace Clean = sequentialRegisterOps(100, *Model, ActionMetaFlushed);
+  Trace Tail{makeInvoke(9, 1, reg::read()),
+             makeRespond(9, 1, reg::read(), Output{77})};
+  Trace Uncredited{makeInvoke(9, 1, reg::read())}; // Program order only.
+  Action Credit = makeInvoke(10, 1, reg::write(77));
+
+  IncrementalLinSession Inc(Reg, Tso);
+  IncrementalLinSession Fresh(Reg, Tso);
+  for (const Action &A : Clean) {
+    ASSERT_TRUE(Inc.append(A));
+    ASSERT_TRUE(Fresh.append(A));
+    ASSERT_EQ(Inc.verdict(Opts).Outcome, Verdict::Yes);
+    ASSERT_EQ(Fresh.verdict(Opts).Outcome, Verdict::Yes);
+  }
+  ASSERT_GT(Inc.retiredObligations(), 0u);
+  ASSERT_TRUE(Inc.append(Tail[0]));
+  Inc.verdict(Opts);
+  ASSERT_TRUE(Inc.append(Tail[1]));
+  expectProvenRetired(Inc, Opts);
+  expectServedFromCache(Inc, Uncredited, Opts);
+
+  ASSERT_TRUE(Inc.append(Credit));
+  LinCheckResult Reopened = Inc.verdict(Opts);
+  EXPECT_GT(Reopened.NodesExplored, 0u) << "the credit did not re-open";
+  for (const Action &A : {Tail[0], Tail[1], Uncredited[0], Credit})
+    ASSERT_TRUE(Fresh.append(A));
+  LinCheckResult Oracle = Fresh.verdict(Opts);
+  ASSERT_EQ(Inc.retiredObligations(), Fresh.retiredObligations());
+  EXPECT_EQ(Reopened.Outcome, Oracle.Outcome);
+  EXPECT_EQ(Reopened.Reason, Oracle.Reason);
+  EXPECT_EQ(Reopened.Outcome, Verdict::Yes);
+}
+
+TEST(IncrementalSessionTest, MarkRewindAroundACachedRetiredNo) {
+  // MarkState carries the cached verdict: a mark taken before the retired
+  // No rewinds to the Yes path; one taken after it rewinds to the cached
+  // Unknown, still served without a search.
+  RegisterAdt Reg;
+  LinCheckOptions Opts;
+  Opts.WantWitness = false;
+
+  IncrementalLinSession Before(Reg);
+  std::unique_ptr<AdtState> Model = Reg.makeState();
+  streamSequentialRegisterOps(Before, 100, Opts, /*VerdictPerEvent=*/true,
+                              Model.get());
+  ASSERT_GT(Before.retiredObligations(), 0u);
+  Before.markPrefix();
+  appendImpossibleRead(Before);
+  expectProvenRetired(Before, Opts);
+  Before.rewindToMark();
+  std::uint64_t Served = Before.stats().WindowRetiredUnknowns;
+  streamSequentialRegisterOps(Before, 10, Opts, /*VerdictPerEvent=*/true,
+                              Model.get());
+  LinCheckResult R = Before.verdict(Opts);
+  EXPECT_EQ(R.Outcome, Verdict::Yes);
+  EXPECT_EQ(Before.stats().WindowRetiredUnknowns, Served);
+
+  IncrementalLinSession After(Reg);
+  Model = Reg.makeState();
+  streamSequentialRegisterOps(After, 100, Opts, /*VerdictPerEvent=*/true,
+                              Model.get());
+  appendImpossibleRead(After);
+  expectProvenRetired(After, Opts);
+  After.markPrefix();
+  expectServedFromCache(After, sequentialRegisterOps(10, *Model), Opts);
+  After.rewindToMark();
+  expectServedFromCache(After, sequentialRegisterOps(10, *Model), Opts);
+}
+
 TEST(IncrementalSessionTest, MarkRewindRestoresPreRetirementWindow) {
   // SharePrefixes interplay: a mark taken before retirement must rewind
   // the whole window state back — retired count, window contents, and

@@ -235,7 +235,9 @@ TEST(TraceFuzzTest, LinFuzz_Universal) {
 // directly: every Yes witness (retired prefix ++ live chain) must
 // replay-validate against the full trace, a non-doomed session must never
 // answer No once obligations were retired (only the stable WindowRetired /
-// overflow Unknowns), linearizable-by-construction streams must stay
+// overflow Unknowns), a WindowRetired Unknown once reported must be served
+// to every later event without a search (each family must reach that
+// cached state), linearizable-by-construction streams must stay
 // definitively Yes at every prefix, and the live window high-water must
 // stay bounded.
 //===----------------------------------------------------------------------===//
@@ -271,18 +273,40 @@ Trace quiescingTrace(const LinFixture &Fx, unsigned Ops, unsigned MaxConc,
 
 /// Streams \p T through a windowed session, checking the windowed-vs-batch
 /// contract at every prefix. \p ExpectDefinitiveYes asserts the
-/// linearizable-by-construction property (no Unknown ever).
+/// linearizable-by-construction property (no Unknown ever). Verdicts after
+/// the first WindowRetired Unknown are served from the session's cache:
+/// each must be that Unknown again (or No once the stream is doomed) at
+/// zero nodes, and each is counted in \p CachedServes.
 void fuzzWindowedLinTrace(const LinFixture &Fx, const Trace &T,
-                          bool ExpectDefinitiveYes) {
+                          bool ExpectDefinitiveYes,
+                          std::size_t &CachedServes) {
   IncrementalLinSession Inc(Fx.Type);
   Trace Prefix;
   std::size_t NumResponses = 0;
+  bool RetiredSeen = false;
   for (const Action &A : T) {
     Inc.append(A);
     Prefix.push_back(A);
     if (isRespond(A))
       ++NumResponses;
     LinCheckResult R = Inc.verdict();
+    if (RetiredSeen) {
+      // A retired-prefix No is final under extension (Strict only adds
+      // obligations): never Yes, and No only for an ill-formed stream.
+      if (Inc.doomed()) {
+        ASSERT_EQ(R.Outcome, Verdict::No);
+      } else {
+        ASSERT_EQ(R.Outcome, Verdict::Unknown)
+            << Fx.Type.name() << ": a definitive verdict after WindowRetired "
+            << "at prefix " << Prefix.size() << ":\n"
+            << formatTrace(Prefix);
+        ASSERT_EQ(R.Reason, WindowRetiredReason);
+      }
+      ASSERT_EQ(R.NodesExplored, 0u)
+          << Fx.Type.name() << ": searched again behind a cached "
+          << "WindowRetired Unknown at prefix " << Prefix.size();
+      ++CachedServes;
+    }
     if (NumResponses <= 64 && Inc.retiredObligations() == 0) {
       // Up to the window: bit-identical verdicts to batch checking.
       LinCheckResult Batch = checkLinearizable(Prefix, Fx.Type);
@@ -323,7 +347,11 @@ void fuzzWindowedLinTrace(const LinFixture &Fx, const Trace &T,
           << Prefix.size() << " (reason: " << R.Reason
           << ", retired=" << Inc.retiredObligations()
           << ", window=" << Inc.liveWindow() << ")";
-    ASSERT_LE(Inc.liveWindow(), 64u);
+    // Nothing retires behind a cached WindowRetired Unknown, so only then
+    // may the window outgrow the engine's bound.
+    if (!RetiredSeen)
+      ASSERT_LE(Inc.liveWindow(), 64u);
+    RetiredSeen = RetiredSeen || R.Reason == WindowRetiredReason;
   }
   if (ExpectDefinitiveYes) {
     ASSERT_GT(Inc.retiredObligations(), 0u)
@@ -340,6 +368,7 @@ void runWindowedLinFuzz(const LinFixture &Fx, std::uint64_t FamilyTag,
   // budget from the shared knob at that ratio so SLIN_FUZZ_TRACES scales
   // this family *down* in sanitizer CI like the others.
   unsigned N = std::max(4u, traceBudget(220) / 18);
+  std::size_t CachedServes = 0;
   for (unsigned I = 0; I != N; ++I) {
     std::uint64_t TraceSeed =
         hashCombine(hashCombine(baseSeed(), FamilyTag), I);
@@ -350,7 +379,8 @@ void runWindowedLinFuzz(const LinFixture &Fx, std::uint64_t FamilyTag,
     switch (I % 3) {
     case 0:
       // Clean: stays definitively Yes past the ceiling.
-      fuzzWindowedLinTrace(Fx, T, /*ExpectDefinitiveYes=*/true);
+      fuzzWindowedLinTrace(Fx, T, /*ExpectDefinitiveYes=*/true,
+                           CachedServes);
       break;
     case 1: {
       // Corrupted in the suffix (duplicate response — ill-formed): the
@@ -363,25 +393,45 @@ void runWindowedLinFuzz(const LinFixture &Fx, std::uint64_t FamilyTag,
           T.insert(T.begin() + static_cast<std::ptrdiff_t>(J) + 1, T[J]);
           break;
         }
-      fuzzWindowedLinTrace(Fx, T, /*ExpectDefinitiveYes=*/false);
+      fuzzWindowedLinTrace(Fx, T, /*ExpectDefinitiveYes=*/false,
+                           CachedServes);
       break;
     }
     default: {
       // Mutated output deep in the suffix (well-formed but wrong): the
       // session may answer No only before anything retired; afterwards
       // the WindowRetired Unknown is the sound degradation.
+      Trace Early = T;
       for (std::size_t J = T.size(); J-- > T.size() * 3 / 4;)
         if (isRespond(T[J])) {
           T[J].Out = Output{T[J].Out.Val == NoValue ? 1 : T[J].Out.Val + 1};
           break;
         }
-      fuzzWindowedLinTrace(Fx, T, /*ExpectDefinitiveYes=*/false);
+      fuzzWindowedLinTrace(Fx, T, /*ExpectDefinitiveYes=*/false,
+                           CachedServes);
+      if (::testing::Test::HasFatalFailure())
+        return;
+      // The same stream with the fifth-from-last response (past the 66th:
+      // obligations have retired by then) returning a value no fixture
+      // operation returns: the violation lands behind the retired prefix
+      // with events still to come, so the cached WindowRetired Unknown is
+      // served to them.
+      for (std::size_t J = Early.size(), Seen = 0; J-- != 0;)
+        if (isRespond(Early[J]) && ++Seen == 5) {
+          Early[J].Out = Output{987654321};
+          break;
+        }
+      fuzzWindowedLinTrace(Fx, Early, /*ExpectDefinitiveYes=*/false,
+                           CachedServes);
       break;
     }
     }
     if (::testing::Test::HasFatalFailure())
       return;
   }
+  EXPECT_GT(CachedServes, 0u)
+      << Fx.Type.name() << ": no verdict was served from a cached "
+      << "WindowRetired Unknown";
 }
 
 } // namespace
